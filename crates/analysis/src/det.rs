@@ -1,127 +1,24 @@
-//! Determinism auditor: proves the bit-reproducibility invariant instead
-//! of assuming it.
+//! Determinism auditor: a static scan for the bit-reproducibility
+//! invariant of the kernel layer.
 //!
-//! The kernel layer's contract (see `adec-tensor`) is that results are
-//! bit-identical at any `ADEC_THREADS` because parallelism only ever
-//! splits *output ownership* — every element is written by exactly one
-//! chunk, and every reduction walks its inner dimension ascending with a
-//! single accumulator. This module attacks that contract from two sides:
+//! The kernel layer's contract (see `adec-tensor`) is that every reduction
+//! walks its inner dimension ascending with a single accumulator, so the
+//! packed kernels match the naive references bit for bit and recorded
+//! trajectories do not shift. [`audit_reduction_source`] scans
+//! `kernels.rs`/`matrix.rs` for reduction loops that violate that
+//! discipline — a `.rev()`/descending-range iteration feeding a `+=`
+//! accumulation reassociates the float sum and silently shifts
+//! trajectories (`det.reduction-order`).
 //!
-//! * **Schedule-permutation harness** ([`audit_schedule_determinism`]):
-//!   runs the real pool-parallel kernels under adversarial schedules —
-//!   thread counts {1, 2, 4} crossed with rotated chunk launch orders
-//!   (`adec_tensor::pool::set_schedule_rotation`) — and requires the
-//!   output bits to match the serial reference exactly
-//!   (`det.schedule-divergence` otherwise).
-//! * **Static reduction scan** ([`audit_reduction_source`]): scans
-//!   `kernels.rs`/`pool.rs` for reduction loops that violate the
-//!   ascending-index single-accumulator discipline — a `.rev()`/
-//!   descending-range iteration feeding a `+=` accumulation reassociates
-//!   the float sum and silently shifts trajectories
-//!   (`det.reduction-order`).
-//!
-//! Both surfaces emit the shared [`Diagnostic`] vocabulary, so `adec
-//! --check --deep` renders them next to tape and arch findings.
+//! Findings use the shared [`Diagnostic`] vocabulary, so `adec --check
+//! --deep` renders them next to tape and arch findings.
 
 use crate::diagnostics::{rule_info, Diagnostic, Report};
 use crate::lint::mask_source;
-use adec_tensor::kernels::{self, FusedAct};
-use adec_tensor::pool::{set_schedule_rotation, set_thread_override};
-use adec_tensor::{Matrix, SeedRng};
 use std::path::Path;
-use std::sync::Mutex;
-
-/// Serializes harness runs: the pool's thread override and schedule
-/// rotation are process-global, so two concurrent audits (e.g. parallel
-/// `#[test]`s) would corrupt each other's reference runs.
-static SCHEDULE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Thread counts the harness sweeps. `1` is the serial reference.
-pub const AUDIT_THREADS: [usize; 3] = [1, 2, 4];
-
-/// Chunk-launch rotations the harness sweeps at each thread count.
-pub const AUDIT_ROTATIONS: [usize; 3] = [0, 1, 3];
 
 fn registry_hint(rule: &str) -> String {
     rule_info(rule).map(|r| r.hint.to_string()).unwrap_or_default()
-}
-
-/// Runs `kernel` under every audited schedule and reports
-/// `det.schedule-divergence` wherever its output bits differ from the
-/// serial (1-thread, natural-order) reference. The kernel is re-invoked
-/// per schedule, so it must be a pure function of its captured inputs.
-///
-/// Restores the pool to its pre-call configuration before returning.
-pub fn audit_kernel_schedules<F>(name: &str, mut kernel: F) -> Report
-where
-    F: FnMut() -> Vec<f32>,
-{
-    let _guard = SCHEDULE_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    let mut report = Report::new();
-    set_thread_override(1);
-    set_schedule_rotation(0);
-    let reference = kernel();
-    for threads in AUDIT_THREADS {
-        for rotation in AUDIT_ROTATIONS {
-            set_thread_override(threads);
-            set_schedule_rotation(rotation);
-            let out = kernel();
-            let identical = out.len() == reference.len()
-                && out
-                    .iter()
-                    .zip(reference.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            if !identical {
-                report.push(
-                    Diagnostic::error(
-                        "det.schedule-divergence",
-                        format!("kernel \"{name}\""),
-                        format!(
-                            "output bits diverge from the serial reference at threads={threads} rotation={rotation}"
-                        ),
-                    )
-                    .with_hint(registry_hint("det.schedule-divergence")),
-                );
-            }
-        }
-    }
-    set_schedule_rotation(0);
-    set_thread_override(0);
-    report
-}
-
-/// The fixed kernel suite: every pool-parallel kernel in `adec-tensor`,
-/// at shapes large enough to cross [`adec_tensor::pool::PARALLEL_MIN_WORK`]
-/// so the parallel path genuinely runs. Seeded, so every invocation audits
-/// the same computation.
-pub fn audit_schedule_determinism() -> Report {
-    let mut rng = SeedRng::new(0xDE7);
-    let a = Matrix::randn(96, 64, 0.0, 1.0, &mut rng);
-    let b = Matrix::randn(64, 48, 0.0, 1.0, &mut rng);
-    let at = Matrix::randn(64, 96, 0.0, 1.0, &mut rng);
-    let bt = Matrix::randn(48, 64, 0.0, 1.0, &mut rng);
-    let wide = Matrix::randn(256, 256, 0.0, 1.0, &mut rng);
-    let wide2 = Matrix::randn(256, 256, 0.0, 1.0, &mut rng);
-    let bias: Vec<f32> = (0..256).map(|i| (i as f32) * 0.01 - 1.0).collect();
-    let t: Vec<f32> = (0..256).map(|i| (i as f32) / 256.0).collect();
-
-    let mut report = Report::new();
-    report.extend(audit_kernel_schedules("matmul", || {
-        kernels::matmul(&a, &b).as_slice().to_vec()
-    }));
-    report.extend(audit_kernel_schedules("matmul_at_b", || {
-        kernels::matmul_at_b(&at, &b).as_slice().to_vec()
-    }));
-    report.extend(audit_kernel_schedules("matmul_a_bt", || {
-        kernels::matmul_a_bt(&a, &bt).as_slice().to_vec()
-    }));
-    report.extend(audit_kernel_schedules("add_bias_act", || {
-        kernels::add_bias_act(&wide, &bias, FusedAct::Tanh).as_slice().to_vec()
-    }));
-    report.extend(audit_kernel_schedules("row_lerp", || {
-        kernels::row_lerp(&wide, &wide2, &t).as_slice().to_vec()
-    }));
-    report
 }
 
 /// Window (in lines) after a descending iteration within which a `+=`
@@ -182,18 +79,13 @@ pub fn audit_reduction_source(rel: &str, src: &str) -> Vec<Diagnostic> {
     out
 }
 
-/// Scans the kernel-discipline source files (`kernels.rs`, `pool.rs`,
-/// `matrix.rs`) under `root` for reduction-order violations. Files that do
-/// not exist are skipped silently: the analyzer also runs from installed
-/// binaries where no checkout is present, and the runtime harness still
-/// covers those builds.
+/// Scans the kernel-discipline source files (`kernels.rs`, `matrix.rs`)
+/// under `root` for reduction-order violations. Files that do not exist
+/// are skipped silently: the analyzer also runs from installed binaries
+/// where no checkout is present.
 pub fn audit_reduction_workspace(root: &Path) -> Report {
     let mut report = Report::new();
-    for rel in [
-        "crates/tensor/src/kernels.rs",
-        "crates/tensor/src/pool.rs",
-        "crates/tensor/src/matrix.rs",
-    ] {
+    for rel in ["crates/tensor/src/kernels.rs", "crates/tensor/src/matrix.rs"] {
         if let Ok(src) = std::fs::read_to_string(root.join(rel)) {
             for d in audit_reduction_source(rel, &src) {
                 report.push(d);
@@ -208,34 +100,6 @@ pub fn audit_reduction_workspace(root: &Path) -> Report {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn real_kernels_are_schedule_invariant() {
-        let report = audit_schedule_determinism();
-        assert!(report.is_empty(), "{report}");
-    }
-
-    #[test]
-    fn seeded_schedule_dependent_kernel_is_caught() {
-        // A kernel that (wrongly) lets the chunk *launch rank* leak into
-        // its output: the canonical violation the harness exists for.
-        let rows = 64;
-        let cols = 1024; // rows*cols ≥ PARALLEL_MIN_WORK → parallel path
-        let report = audit_kernel_schedules("seeded-divergence", || {
-            let rank = AtomicUsize::new(0);
-            let mut out = vec![0.0f32; rows * cols];
-            adec_tensor::pool::parallel_rows(&mut out, rows, cols, usize::MAX, |_, _, chunk| {
-                let r = rank.fetch_add(1, Ordering::SeqCst);
-                for v in chunk.iter_mut() {
-                    *v = r as f32;
-                }
-            });
-            out
-        });
-        assert!(report.has_rule("det.schedule-divergence"), "{report}");
-        assert!(!report.is_pass());
-    }
 
     #[test]
     fn descending_reduction_is_caught_with_correct_rule_id() {

@@ -204,7 +204,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo { id: "tape.nan-path", severity: Severity::Warning, summary: "non-finite values can reach the loss with no saturating guard between", hint: "insert a clamped/saturating op or a finiteness guard on the path" },
     // --- det: determinism auditing ------------------------------------
     RuleInfo { id: "det.reduction-order", severity: Severity::Error, summary: "a reduction loop violates the ascending-k single-accumulator discipline", hint: "accumulate in ascending index order with one accumulator per output element" },
-    RuleInfo { id: "det.schedule-divergence", severity: Severity::Error, summary: "a kernel produced different bits under a permuted schedule", hint: "make each output element owned by exactly one chunk; never reduce across chunks" },
 ];
 
 /// Looks up a rule id in [`RULES`].

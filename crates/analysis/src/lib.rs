@@ -18,9 +18,7 @@
 //!    propagation per op, gradient connectivity against a per-phase
 //!    [`PhaseManifest`] of must-update / intentionally-frozen parameters,
 //!    dead-node and double-bind detection, and a NaN-propagation lattice.
-//! 4. **Determinism auditing** ([`det`]): the real pool-parallel kernels
-//!    are re-run under permuted chunk schedules and thread counts and must
-//!    reproduce the serial reference bit-for-bit; a static scan rejects
+//! 4. **Determinism auditing** ([`det`]): a static scan rejects kernel
 //!    reduction loops that abandon the ascending-index single-accumulator
 //!    discipline.
 //! 5. **Kernel invariants**: the `debug_assert_finite!`/`debug_assert_dims!`
@@ -43,10 +41,7 @@ pub mod lint;
 pub mod tape;
 
 pub use arch::{ActKind, ArchSpec, ChainRole, ChainSpec, ClusterHeadSpec, Coupling, LayerSpec};
-pub use det::{
-    audit_kernel_schedules, audit_reduction_source, audit_reduction_workspace,
-    audit_schedule_determinism,
-};
+pub use det::{audit_reduction_source, audit_reduction_workspace};
 pub use diagnostics::{rule_info, Diagnostic, Report, RuleInfo, Severity, RULES};
 pub use lint::{collect_rs_files, lint_source, lint_workspace, Baseline};
 pub use tape::{analyze_tape, ParamRole, PhaseManifest};

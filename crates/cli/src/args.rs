@@ -448,7 +448,8 @@ pub fn load_usage() -> String {
        --arrival <NAME>     poisson | uniform              (default poisson)\n\
        --conn <NAME>        reconnect | reuse              (default reconnect)\n\
        --mix <SPEC>         kind=weight list, e.g. valid=8,batch=1,malformed=1\n\
-                            (kinds: valid, batch, malformed, oversized, slowloris)\n\
+                            (kinds: valid, batch, malformed, oversized, slowloris;\n\
+                            unlisted kinds are not sent)\n\
        --concurrency <N>    client worker threads          (default 32)\n\
        --rows <N>           rows per valid batch payload   (default 16)\n\
        --out <PATH>         report path                    (default BENCH_serve.json)\n\
@@ -752,7 +753,7 @@ pub fn usage() -> String {
            --iters <N>             clustering iterations         (default 1800)\n\
            --labels-out <PATH>     write predicted labels as CSV\n\
            --save-weights <PATH>   save pretrained weights (deep methods)\n\
-           --progress              print per-interval ACC/NMI (--trace is a deprecated alias)\n\
+           --progress              print per-interval ACC/NMI\n\
            --trace-out <PATH>      write an adec-prof/v1 tape-op profile JSON after the run\n\
                                    (observational: the trajectory is bitwise unchanged)\n\
            --check                 validate model architectures for this configuration, then exit\n\
@@ -822,11 +823,6 @@ pub fn parse(argv: &[String]) -> Result<Args, ParseError> {
             "--labels-out" => args.labels_out = Some(value("--labels-out")?.clone()),
             "--save-weights" => args.save_weights = Some(value("--save-weights")?.clone()),
             "--progress" => args.progress = true,
-            "--trace" => {
-                // lint:allow(obs-eprintln) -- one-line deprecation warning
-                eprintln!("warning: --trace is deprecated, use --progress (tracing now means causal tracing; see --trace-out and adec prof)");
-                args.progress = true;
-            }
             "--trace-out" => args.trace_out = Some(value("--trace-out")?.clone()),
             "--check" => args.check = true,
             "--deep" => args.deep = true,
@@ -899,13 +895,6 @@ mod tests {
         assert_eq!(args.pretrain_iters, 300);
         assert_eq!(args.labels_out.as_deref(), Some("out.csv"));
         assert!(args.progress);
-    }
-
-    #[test]
-    fn deprecated_trace_flag_still_means_progress() {
-        let args = parse(&strs(&["--trace"])).unwrap();
-        assert!(args.progress, "--trace must stay a working alias for --progress");
-        assert_eq!(args.trace_out, None, "--trace must not imply --trace-out");
     }
 
     #[test]

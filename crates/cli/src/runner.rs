@@ -528,10 +528,9 @@ fn phase_for(method: Method) -> Option<&'static str> {
 /// With `--deep` the report additionally covers, at this configuration's
 /// exact dimensions: the tape dataflow analysis of every trainer phase
 /// (shape propagation, gradient connectivity against the phase manifests,
-/// dead nodes, undeclared double binds, NaN paths), the
-/// schedule-permutation determinism audit of the pool-parallel kernels,
-/// and — when run from a source checkout — the static reduction-order
-/// scan of the kernel sources.
+/// dead nodes, undeclared double binds, NaN paths) and — when run from a
+/// source checkout — the static reduction-order scan of the kernel
+/// sources.
 pub fn check(args: &Args) -> adec_analysis::Report {
     let ds = args.dataset.generate(args.size, args.seed);
     let disc_hidden = match args.size {
@@ -555,7 +554,6 @@ pub fn check(args: &Args) -> adec_analysis::Report {
         for phase in &phases {
             report.extend(phase.analyze());
         }
-        report.extend(adec_analysis::audit_schedule_determinism());
         // Best-effort when installed outside a checkout: missing source
         // files are skipped, never reported.
         report.extend(adec_analysis::audit_reduction_workspace(std::path::Path::new(".")));

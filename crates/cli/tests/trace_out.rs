@@ -177,20 +177,3 @@ fn prof_subcommand_profiles_checks_and_diffs() {
 
     let _ = std::fs::remove_dir_all(&root);
 }
-
-#[test]
-fn deprecated_trace_flag_warns_and_still_runs() {
-    let out = Command::new(BIN)
-        .args([
-            "--method", "kmeans", "--dataset", "protein", "--size", "small", "--seed", "7",
-            "--trace",
-        ])
-        .output()
-        .expect("failed to spawn adec binary");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--trace is deprecated"),
-        "no deprecation warning on stderr:\n{stderr}"
-    );
-}

@@ -8,19 +8,13 @@
 //! `--check` mode can print the full report without training anything.
 //!
 //! **One source of truth.** The spec vocabulary ([`ArchSpec`],
-//! [`ChainSpec`], [`LayerSpec`], [`ChainRole`], [`ActKind`],
-//! [`ClusterHeadSpec`], [`Coupling`]) is defined in `adec_analysis::arch`
-//! and only *re-exported* here so existing `adec_core::archspec::...`
-//! paths keep compiling. Deprecation note: importing the vocabulary
-//! through this module is the legacy path — new code should take it from
-//! `adec_analysis` directly and use this module only for the live-model
-//! bridge builders below.
+//! [`ChainSpec`], [`ChainRole`], [`ClusterHeadSpec`], …) is defined in
+//! `adec_analysis::arch`; this module only holds the live-model bridge
+//! builders below.
 
 use crate::autoencoder::{ArchPreset, Autoencoder};
 use adec_analysis::Report;
-pub use adec_analysis::{
-    ActKind, ArchSpec, ChainRole, ChainSpec, ClusterHeadSpec, Coupling, LayerSpec,
-};
+use adec_analysis::{ArchSpec, ChainRole, ChainSpec, ClusterHeadSpec};
 use adec_nn::{Mlp, ParamStore};
 use adec_tensor::{Matrix, SeedRng};
 

@@ -143,10 +143,11 @@ impl PayloadMix {
         PayloadKind::ValidSingle
     }
 
-    /// Parses a `kind=weight,kind=weight,…` spec (unlisted kinds keep
-    /// their default weight; `valid=`/`batch=` accepted as shorthand).
+    /// Parses a `kind=weight,kind=weight,…` spec (unlisted kinds get
+    /// weight 0; `valid=`/`batch=` accepted as shorthand).
     pub fn parse(spec: &str) -> Result<PayloadMix, String> {
-        let mut mix = PayloadMix::default();
+        let mut mix =
+            PayloadMix { valid_single: 0, valid_batch: 0, malformed: 0, oversized: 0, slowloris: 0 };
         for part in spec.split(',') {
             let part = part.trim();
             if part.is_empty() {
@@ -460,8 +461,13 @@ mod tests {
         assert_eq!(mix.valid_single, 3);
         assert_eq!(mix.malformed, 1);
         assert_eq!(mix.slowloris, 0);
-        // Unlisted kinds keep defaults.
-        assert_eq!(mix.valid_batch, PayloadMix::default().valid_batch);
+        // Unlisted kinds are not sent.
+        assert_eq!((mix.valid_batch, mix.oversized), (0, 0));
+        let mut config = cfg(2000.0, 1000);
+        config.mix = PayloadMix::parse("valid=80,batch=10").unwrap();
+        let counts = Schedule::build(&config).kind_counts();
+        assert_eq!(counts[2..], [0, 0, 0], "malformed, oversized and slow-loris must not appear");
+        assert!(counts[0] > 0 && counts[1] > 0, "{counts:?}");
         assert!(PayloadMix::parse("nope=1").unwrap_err().contains("unknown mix kind"));
         assert!(PayloadMix::parse("valid").unwrap_err().contains("not kind=weight"));
         assert!(PayloadMix::parse("valid=x").unwrap_err().contains("not a non-negative"));

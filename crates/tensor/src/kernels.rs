@@ -14,12 +14,10 @@
 //!   the pre-kernel-layer ikj loops. Faster layouts come from *packing*
 //!   (copying operand panels into contiguous, microkernel-friendly
 //!   buffers), never from reassociating the sum, so the packed kernels,
-//!   the naive references below, and any thread count all produce
-//!   bit-identical results and recorded training trajectories do not
-//!   shift.
-//! * **Deterministic threading.** Parallel regions split *output rows*
-//!   across workers (see [`crate::pool`]); no cross-thread reduction
-//!   exists anywhere in this module.
+//!   and the naive references below produce bit-identical results and
+//!   recorded training trajectories do not shift.
+//! * **Single-threaded.** Every kernel runs on the calling thread, so no
+//!   reduction ever depends on a schedule.
 //! * **Checked at the door.** Every public kernel opens with a shape
 //!   assert and (in debug builds) a finiteness sweep over its inputs.
 //!
@@ -33,7 +31,6 @@
 //! there are no explicit SIMD intrinsics.
 
 use crate::matrix::Matrix;
-use crate::pool;
 
 /// Microkernel tile height (output rows per register tile).
 pub const MR: usize = 4;
@@ -128,18 +125,18 @@ fn microkernel(k: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR];
     }
 }
 
-/// Computes rows `r0..r0+nrows` of a `? × n` gemm into `chunk` from
-/// pre-packed `B` panels, packing `A` row-blocks on the fly via `pack_a`
-/// (which receives the *global* block start row).
-fn gemm_rows<PA>(k: usize, n: usize, packed_b: &[f32], r0: usize, nrows: usize, chunk: &mut [f32], pack_a: PA)
+/// Computes all `m` rows of an `m × n` gemm into `out` from pre-packed
+/// `B` panels, packing `A` row-blocks on the fly via `pack_a` (which
+/// receives the block's start row).
+fn gemm_rows<PA>(k: usize, n: usize, packed_b: &[f32], m: usize, out: &mut [f32], pack_a: PA)
 where
     PA: Fn(usize, usize, &mut [f32]),
 {
     let np = n.div_ceil(NR);
     let mut a_panel = vec![0.0f32; k * MR];
-    for ib in (0..nrows).step_by(MR) {
-        let mr_eff = MR.min(nrows - ib);
-        pack_a(r0 + ib, mr_eff, &mut a_panel);
+    for ib in (0..m).step_by(MR) {
+        let mr_eff = MR.min(m - ib);
+        pack_a(ib, mr_eff, &mut a_panel);
         for jp in 0..np {
             let b_panel = &packed_b[jp * k * NR..(jp + 1) * k * NR];
             let mut acc = [[0.0f32; NR]; MR];
@@ -148,7 +145,7 @@ where
             let w = NR.min(n - j0);
             for ii in 0..mr_eff {
                 let row = (ib + ii) * n + j0;
-                chunk[row..row + w].copy_from_slice(&acc[ii][..w]);
+                out[row..row + w].copy_from_slice(&acc[ii][..w]);
             }
         }
     }
@@ -179,10 +176,8 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let packed = pack_b_rows(b.as_slice(), k, n);
     let mut out = Matrix::zeros(m, n);
     let ad = a.as_slice();
-    pool::parallel_rows(out.as_mut_slice(), m, n, m * n * k.max(1), |r0, nrows, chunk| {
-        gemm_rows(k, n, &packed, r0, nrows, chunk, |i0, mr_eff, panel| {
-            pack_a_rows(ad, k, i0, mr_eff, panel);
-        });
+    gemm_rows(k, n, &packed, m, out.as_mut_slice(), |i0, mr_eff, panel| {
+        pack_a_rows(ad, k, i0, mr_eff, panel);
     });
     out
 }
@@ -201,10 +196,8 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Matrix {
     let packed = pack_b_rows(b.as_slice(), k, n);
     let mut out = Matrix::zeros(m, n);
     let ad = a.as_slice();
-    pool::parallel_rows(out.as_mut_slice(), m, n, m * n * k.max(1), |r0, nrows, chunk| {
-        gemm_rows(k, n, &packed, r0, nrows, chunk, |i0, mr_eff, panel| {
-            pack_a_cols(ad, m, k, i0, mr_eff, panel);
-        });
+    gemm_rows(k, n, &packed, m, out.as_mut_slice(), |i0, mr_eff, panel| {
+        pack_a_cols(ad, m, k, i0, mr_eff, panel);
     });
     out
 }
@@ -223,10 +216,8 @@ pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Matrix {
     let packed = pack_b_cols(b.as_slice(), n, k);
     let mut out = Matrix::zeros(m, n);
     let ad = a.as_slice();
-    pool::parallel_rows(out.as_mut_slice(), m, n, m * n * k.max(1), |r0, nrows, chunk| {
-        gemm_rows(k, n, &packed, r0, nrows, chunk, |i0, mr_eff, panel| {
-            pack_a_rows(ad, k, i0, mr_eff, panel);
-        });
+    gemm_rows(k, n, &packed, m, out.as_mut_slice(), |i0, mr_eff, panel| {
+        pack_a_rows(ad, k, i0, mr_eff, panel);
     });
     out
 }
@@ -387,15 +378,14 @@ pub fn add_bias_act(x: &Matrix, bias: &[f32], act: FusedAct) -> Matrix {
     let (rows, cols) = x.shape();
     let mut out = Matrix::zeros(rows, cols);
     let xs = x.as_slice();
-    pool::parallel_rows(out.as_mut_slice(), rows, cols, rows * cols, |r0, nrows, chunk| {
-        for r in 0..nrows {
-            let xrow = &xs[(r0 + r) * cols..(r0 + r + 1) * cols];
-            let orow = &mut chunk[r * cols..(r + 1) * cols];
-            for ((o, &v), &bv) in orow.iter_mut().zip(xrow.iter()).zip(bias.iter()) {
-                *o = act.eval(v + bv);
-            }
+    let os = out.as_mut_slice();
+    for r in 0..rows {
+        let xrow = &xs[r * cols..(r + 1) * cols];
+        let orow = &mut os[r * cols..(r + 1) * cols];
+        for ((o, &v), &bv) in orow.iter_mut().zip(xrow.iter()).zip(bias.iter()) {
+            *o = act.eval(v + bv);
         }
-    });
+    }
     out
 }
 
@@ -491,17 +481,16 @@ pub fn row_lerp(a: &Matrix, b: &Matrix, t: &[f32]) -> Matrix {
     let (rows, cols) = a.shape();
     let mut out = Matrix::zeros(rows, cols);
     let (ad, bd) = (a.as_slice(), b.as_slice());
-    pool::parallel_rows(out.as_mut_slice(), rows, cols, rows * cols, |r0, nrows, chunk| {
-        for r in 0..nrows {
-            let w = t[r0 + r];
-            let arow = &ad[(r0 + r) * cols..(r0 + r + 1) * cols];
-            let brow = &bd[(r0 + r) * cols..(r0 + r + 1) * cols];
-            let orow = &mut chunk[r * cols..(r + 1) * cols];
-            for ((o, &av), &bv) in orow.iter_mut().zip(arow.iter()).zip(brow.iter()) {
-                *o = w * av + (1.0 - w) * bv;
-            }
+    let os = out.as_mut_slice();
+    for r in 0..rows {
+        let w = t[r];
+        let arow = &ad[r * cols..(r + 1) * cols];
+        let brow = &bd[r * cols..(r + 1) * cols];
+        let orow = &mut os[r * cols..(r + 1) * cols];
+        for ((o, &av), &bv) in orow.iter_mut().zip(arow.iter()).zip(brow.iter()) {
+            *o = w * av + (1.0 - w) * bv;
         }
-    });
+    }
     out
 }
 
@@ -673,20 +662,6 @@ mod tests {
         let mut y = [1.0f32, 1.0, 1.0];
         axpy(0.5, &x, &mut y);
         assert_eq!(y, [1.5, 2.0, 2.5]);
-    }
-
-    #[test]
-    fn threaded_gemm_is_bit_identical() {
-        let mut rng = SeedRng::new(14);
-        let a = Matrix::randn(37, 29, 0.0, 1.0, &mut rng);
-        let b = Matrix::randn(29, 23, 0.0, 1.0, &mut rng);
-        crate::pool::set_thread_override(1);
-        let serial = matmul(&a, &b);
-        for threads in [2usize, 4] {
-            crate::pool::set_thread_override(threads);
-            assert_eq!(matmul(&a, &b), serial, "threads={threads}");
-        }
-        crate::pool::set_thread_override(0);
     }
 
     #[test]

@@ -8,9 +8,7 @@
 //! Everything is implemented from scratch — no BLAS, no `ndarray` — because
 //! the numeric kernel is part of what this reproduction rebuilds. The hot
 //! paths run through the [`kernels`] layer: packed, register-tiled gemm and
-//! fused elementwise ops with an opt-in deterministic worker [`pool`]
-//! (`ADEC_THREADS`, default 1) whose results are bit-identical at any
-//! thread count.
+//! fused elementwise ops, run serially on the calling thread.
 //!
 //! ## Quick example
 //!
@@ -36,7 +34,6 @@
 pub mod kernels;
 pub mod linalg;
 pub mod matrix;
-pub mod pool;
 pub mod rng;
 
 pub use kernels::{add_bias_act, finite_scan, row_lerp, softmax_rows, FiniteScan, FusedAct, RowSoftmax};
@@ -45,7 +42,6 @@ pub use linalg::{
     Pca,
 };
 pub use matrix::Matrix;
-pub use pool::{configured_threads, set_thread_override};
 pub use rng::{RngState, SeedRng};
 
 /// Debug-build invariant: every entry of a matrix is finite.

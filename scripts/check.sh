@@ -24,7 +24,7 @@ cargo run -q --release -p adec-cli -- load --help > /dev/null
 echo "==> adec --check (paper-scale architectures)"
 cargo run -q --release -p adec-cli -- --check --size paper
 
-echo "==> adec --check --deep (tape dataflow + determinism audit, paper scale)"
+echo "==> adec --check --deep (tape dataflow + reduction-order scan, paper scale)"
 cargo run -q --release -p adec-cli -- --check --deep --size paper
 
 echo "==> serve fleet drill (replica-kill, wedge, hot reload under fire) + post-drill SLO ratchet"
