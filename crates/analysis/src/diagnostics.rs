@@ -193,6 +193,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo { id: "lint.float-eq", severity: Severity::Error, summary: "exact float comparison", hint: "compare against a tolerance" },
     RuleInfo { id: "lint.as-narrowing", severity: Severity::Error, summary: "narrowing `as` cast in kernel code", hint: "use try_from or widen the type" },
     RuleInfo { id: "lint.kernel-assert", severity: Severity::Error, summary: "kernel entry point without a shape assert", hint: "open every public kernel with an assert on its operand shapes" },
+    RuleInfo { id: "lint.unsafe-allow", severity: Severity::Error, summary: "allow(unsafe_code) outside crates/tensor/src/kernels.rs", hint: "keep the workspace's only unsafe code, the AVX2 gemm dispatch, in the kernel layer" },
     RuleInfo { id: "lint.silent-detach", severity: Severity::Error, summary: "tape output cloned into a detached Matrix outside infer/serve paths", hint: "keep the value on the tape, or mark the line lint:allow(silent-detach) if the detach is intentional" },
     // --- tape: dataflow analysis over exported tape IR ----------------
     RuleInfo { id: "tape.shape-mismatch", severity: Severity::Error, summary: "a node's recorded shape disagrees with the shape its op implies", hint: "fix the operand shapes; the live tape would assert here at run time" },

@@ -25,6 +25,12 @@
 //!   paper's alternated training exists to avoid. The tape's own autodiff
 //!   internals (`crates/nn/src/tape.rs`) and inference/serving paths
 //!   (`crates/serve/`), where detaching is the point, are exempt.
+//! * `lint.unsafe-allow` — an `allow(unsafe_code)` (or `expect(..)`)
+//!   attribute anywhere, test code included, outside
+//!   `crates/tensor/src/kernels.rs`. The workspace denies `unsafe_code`;
+//!   its one exception is the AVX2 gemm twin and its feature-checked call
+//!   site, and clippy cannot pin an allowance to a single file. This rule
+//!   ignores `lint:allow`.
 //!
 //! Any line (or its predecessor) may carry `// lint:allow(rule)` to
 //! suppress a finding; the [`Baseline`] machinery grandfathers historical
@@ -450,7 +456,53 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Diagnostic> {
     if needs_kernel_asserts(rel) {
         kernel_assert_pass(rel, &masked_lines, &allowed, &mut out);
     }
+    if rel != UNSAFE_EXCEPTION_PATH {
+        unsafe_allow_pass(rel, &masked_lines, &mut out);
+    }
     out
+}
+
+/// The one file allowed to lift the workspace's `unsafe_code` denial.
+const UNSAFE_EXCEPTION_PATH: &str = "crates/tensor/src/kernels.rs";
+
+/// Flags every `allow(..)`/`expect(..)` lint attribute whose list names
+/// `unsafe_code`. Attribute lists may span lines, so the list is read up
+/// to its closing parenthesis across the masked source.
+fn unsafe_allow_pass(rel: &str, masked_lines: &[&str], out: &mut Vec<Diagnostic>) {
+    for (li, line) in masked_lines.iter().enumerate() {
+        for opener in ["allow(", "expect("] {
+            let mut from = 0;
+            while let Some(pos) = line[from..].find(opener) {
+                let start = from + pos;
+                from = start + opener.len();
+                if prev_is_ident(line.as_bytes(), start) {
+                    continue; // part of a longer identifier
+                }
+                let mut list = String::from(&line[from..]);
+                for next in masked_lines.iter().skip(li + 1) {
+                    if list.contains(')') {
+                        break;
+                    }
+                    list.push(' ');
+                    list.push_str(next);
+                }
+                let list = list.split(')').next().unwrap_or("");
+                if list.split(',').any(|item| item.trim() == "unsafe_code") {
+                    out.push(
+                        Diagnostic::error(
+                            "lint.unsafe-allow",
+                            format!("{rel}:{}", li + 1),
+                            "`unsafe_code` allowed outside the kernel layer",
+                        )
+                        .with_hint(format!(
+                            "the workspace's only `unsafe` is the AVX2 gemm dispatch in \
+                             {UNSAFE_EXCEPTION_PATH}; write safe Rust here"
+                        )),
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Checks that each `pub fn` taking a `&Matrix`/`&[f32]` opens with an
@@ -801,6 +853,40 @@ mod tests {
         // Allowable.
         let allowed = "impl Matrix {\n    // shape-oblivious by design -- lint:allow(kernel-assert)\n    pub fn scale(&self, xs: &[f32]) -> Matrix {\n        body()\n    }\n}\n";
         assert!(lint_source("crates/tensor/src/matrix.rs", allowed).is_empty());
+    }
+
+    #[test]
+    fn unsafe_allowance_is_confined_to_the_kernel_layer() {
+        let item = "#[allow(unsafe_code)]\nunsafe fn f() {}\n";
+        let diags = lint_source(LIB, item);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, "lint.unsafe-allow");
+        assert!(diags[0].location.ends_with(":1"), "{diags:?}");
+        // Crate-level, combined, multi-line and `expect` forms all count,
+        // in test code too, and `lint:allow` does not silence the rule.
+        for src in [
+            "#![allow(unsafe_code)]\n",
+            "#[allow(clippy::float_cmp, unsafe_code)]\nfn f() {}\n",
+            "#[allow(\n    dead_code,\n    unsafe_code,\n)]\nfn f() {}\n",
+            "#[expect(unsafe_code)]\nfn f() {}\n",
+            "#[cfg(test)]\nmod tests {\n    #[allow(unsafe_code)]\n    fn t() {}\n}\n",
+            "#[allow(unsafe_code)] // lint:allow(unsafe-allow)\nfn f() {}\n",
+        ] {
+            let diags = lint_source("crates/demo/tests/t.rs", src);
+            assert_eq!(diags.len(), 1, "{src}: {diags:?}");
+            assert_eq!(diags[0].rule, "lint.unsafe-allow", "{src}");
+        }
+        // The kernel layer is the one exception; mentions in comments and
+        // strings, other allowances and method calls are not attributes.
+        assert!(lint_source("crates/tensor/src/kernels.rs", item).is_empty());
+        for src in [
+            "// an allow(unsafe_code) here would be refused\nfn f() {}\n",
+            "fn f() -> &'static str { \"#[allow(unsafe_code)]\" }\n",
+            "#[allow(dead_code)]\nfn unsafe_code() {}\n",
+            "#[allow(unsafe_op_in_unsafe_fn)]\nfn f() {}\n",
+        ] {
+            assert!(lint_source(LIB, src).is_empty(), "{src}");
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! fused elementwise ops, at small / medium / paper shapes.
 //!
 //! Emits `BENCH_kernels.json` at the repository root with ns/op and
-//! GFLOP/s per entry and the packed-vs-naive speedup per gemm shape.
+//! GFLOP/s per entry, the packed-vs-naive speedup per gemm shape, and the
+//! `isa` (`avx2` or `generic`) the packed gemms dispatched to.
 //! `ADEC_SIZE` (small | medium | paper) bounds how many of the shape
 //! tiers run: every size runs `small` and `medium` (the speedup the
 //! acceptance gate reads is the medium tier), `paper` adds the
@@ -16,7 +17,7 @@
 use adec_bench::HarnessCfg;
 use adec_datagen::Size;
 use adec_tensor::kernels::{
-    add_bias_act, matmul, matmul_a_bt, matmul_a_bt_naive, matmul_at_b, matmul_at_b_naive,
+    add_bias_act, gemm_isa, matmul, matmul_a_bt, matmul_a_bt_naive, matmul_at_b, matmul_at_b_naive,
     matmul_naive, row_lerp, softmax_rows, FusedAct,
 };
 use adec_tensor::{Matrix, SeedRng};
@@ -174,7 +175,8 @@ fn main() {
     let cfg = HarnessCfg::from_env();
     let mut entries = Vec::new();
 
-    println!("== kernel benchmarks ==");
+    let isa = gemm_isa();
+    println!("== kernel benchmarks (gemm isa: {isa}) ==");
     gemm_tier("small", 32, 64, 32, 400, 400, &mut entries);
     fused_tier("small", 64, 128, 400, &mut entries);
     gemm_tier("medium", 256, 512, 256, 8, 3, &mut entries);
@@ -192,7 +194,7 @@ fn main() {
         Size::Paper => "paper",
     };
     let json = format!(
-        "{{\n\"schema\":\"adec-bench-kernels/v1\",\n\"size\":\"{size}\",\n\"entries\":[\n  {body}\n]\n}}\n"
+        "{{\n\"schema\":\"adec-bench-kernels/v1\",\n\"size\":\"{size}\",\n\"isa\":\"{isa}\",\n\"entries\":[\n  {body}\n]\n}}\n"
     );
     // Repo root, next to the other BENCH_/RESULTS artifacts.
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))

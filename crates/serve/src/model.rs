@@ -479,7 +479,7 @@ impl InferenceModel {
 
     /// Assigns a validated batch at the model's own rung. Deterministic:
     /// identical input bytes and model produce bitwise-identical outputs
-    /// at any worker count (the kernel layer's row-chunk invariant).
+    /// on any CPU: the AVX2 and generic gemm paths are bitwise equal.
     ///
     /// # Errors
     ///

@@ -27,8 +27,20 @@
 //! dimension. `A` is packed per row-block into `k × MR` panels and `B`
 //! once per call into `k × NR` panels (transposed variants differ only in
 //! the pack gather), so the microkernel's inner loop reads both operands
-//! contiguously and auto-vectorizes; the workspace forbids `unsafe`, so
-//! there are no explicit SIMD intrinsics.
+//! contiguously and auto-vectorizes.
+//!
+//! ## Instruction-set dispatch
+//!
+//! The row-block gemm loop is compiled twice from one `#[inline(always)]`
+//! body: a generic copy for baseline x86-64 (4-wide SSE2) and an
+//! `#[target_feature(enable = "avx2")]` copy whose `NR`-wide accumulator
+//! rows vectorize 8 wide. Every gemm call picks its copy with
+//! `is_x86_feature_detected!("avx2")`; [`gemm_isa`] reports the choice.
+//! FMA stays disabled: Rust never contracts a separate `*` and `+`, so
+//! each lane performs the scalar code's IEEE operations in the same
+//! ascending-`k` order and the two copies are bitwise equal. Calling a
+//! target-feature function needs `unsafe`; the AVX2 twin and its one
+//! feature-checked call site are the workspace's only `unsafe` code.
 
 use crate::matrix::Matrix;
 
@@ -111,7 +123,7 @@ fn pack_a_cols(a: &[f32], m: usize, k: usize, i0: usize, mr_eff: usize, panel: &
 /// over the full inner dimension, ascending `kk`. Each accumulator is a
 /// single sequential f32 chain — the bit-identical-order invariant lives
 /// here.
-#[inline]
+#[inline(always)]
 fn microkernel(k: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
     for kk in 0..k {
         let a = &a_panel[kk * MR..kk * MR + MR];
@@ -127,8 +139,92 @@ fn microkernel(k: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR];
 
 /// Computes all `m` rows of an `m × n` gemm into `out` from pre-packed
 /// `B` panels, packing `A` row-blocks on the fly via `pack_a` (which
-/// receives the block's start row).
+/// receives the block's start row), on the fastest compiled copy of the
+/// row-block loop this CPU can run.
 fn gemm_rows<PA>(k: usize, n: usize, packed_b: &[f32], m: usize, out: &mut [f32], pack_a: PA)
+where
+    PA: Fn(usize, usize, &mut [f32]),
+{
+    #[cfg(target_arch = "x86_64")]
+    if try_gemm_rows_avx2(k, n, packed_b, m, out, &pack_a) {
+        return;
+    }
+    gemm_rows_body(k, n, packed_b, m, out, pack_a);
+}
+
+/// Whether this CPU runs the AVX2 copy of the gemm row-block loop.
+#[cfg(target_arch = "x86_64")]
+fn has_avx2() -> bool {
+    is_x86_feature_detected!("avx2")
+}
+
+/// The instruction set the gemm kernels run on this CPU: `"avx2"` or
+/// `"generic"`. Both give bitwise-identical results; benchmarks record
+/// this so their timings name the path they measured.
+pub fn gemm_isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        return "avx2";
+    }
+    "generic"
+}
+
+/// Runs [`gemm_rows_avx2`] when the CPU supports AVX2 and returns whether
+/// it did; on any other CPU it leaves `out` untouched and returns false.
+#[cfg(target_arch = "x86_64")]
+fn try_gemm_rows_avx2<PA>(
+    k: usize,
+    n: usize,
+    packed_b: &[f32],
+    m: usize,
+    out: &mut [f32],
+    pack_a: &PA,
+) -> bool
+where
+    PA: Fn(usize, usize, &mut [f32]),
+{
+    if has_avx2() {
+        // SAFETY: `gemm_rows_avx2` is safe Rust compiled for AVX2; its one
+        // precondition is that the CPU executes AVX2 instructions, which
+        // the feature check on the line above has just established.
+        #[allow(unsafe_code)]
+        unsafe {
+            gemm_rows_avx2(k, n, packed_b, m, out, pack_a);
+        }
+        return true;
+    }
+    false
+}
+
+/// [`gemm_rows_body`] compiled for AVX2 (without FMA, so every lane
+/// rounds exactly as the generic copy does).
+///
+/// # Safety
+/// The CPU must support AVX2.
+// SAFETY: a target-feature function must be an `unsafe fn` before Rust
+// 1.86 (the workspace supports 1.75); the body is safe Rust, and its one
+// caller, `try_gemm_rows_avx2`, checks for AVX2 first.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_rows_avx2<PA>(
+    k: usize,
+    n: usize,
+    packed_b: &[f32],
+    m: usize,
+    out: &mut [f32],
+    pack_a: &PA,
+) where
+    PA: Fn(usize, usize, &mut [f32]),
+{
+    gemm_rows_body(k, n, packed_b, m, out, pack_a);
+}
+
+/// The row-block loop shared by both compiled copies (the generic
+/// path calls it directly); inlined so each copy is vectorized for its
+/// own target features.
+#[inline(always)]
+fn gemm_rows_body<PA>(k: usize, n: usize, packed_b: &[f32], m: usize, out: &mut [f32], pack_a: PA)
 where
     PA: Fn(usize, usize, &mut [f32]),
 {
@@ -572,6 +668,80 @@ mod tests {
             let a = Matrix::randn(m, k, 0.0, 1.0, &mut rng);
             let b = Matrix::randn(k, n, 0.0, 1.0, &mut rng);
             assert_eq!(matmul(&a, &b), matmul_naive(&a, &b), "{m}x{k}x{n}");
+        }
+    }
+
+    /// Runs one packed gemm through the generic body and, on a CPU with
+    /// AVX2, through the AVX2 twin; returns the generic result after
+    /// asserting the two agree exactly.
+    fn gemm_on_both_paths(
+        label: &str,
+        (m, k, n): (usize, usize, usize),
+        packed_b: &[f32],
+        pack_a: &dyn Fn(usize, usize, &mut [f32]),
+    ) -> Matrix {
+        let mut generic = Matrix::zeros(m, n);
+        gemm_rows_body(k, n, packed_b, m, generic.as_mut_slice(), pack_a);
+        #[cfg(target_arch = "x86_64")]
+        {
+            let mut avx2 = Matrix::zeros(m, n);
+            if try_gemm_rows_avx2(k, n, packed_b, m, avx2.as_mut_slice(), &pack_a) {
+                assert_eq!(avx2, generic, "{label} {m}x{k}x{n}: avx2 vs generic");
+            }
+        }
+        generic
+    }
+
+    #[test]
+    fn avx2_twin_matches_generic_body_exactly() {
+        if gemm_isa() != "avx2" {
+            println!("no AVX2 on this CPU: checking the generic gemm body alone");
+        }
+        let mut shapes = Vec::new();
+        for m in [1usize, 3, 5] {
+            for k in [0usize, 1, 33] {
+                for n in [1usize, 7, 15, 17, 40] {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        // The serving forward pass: one protein row through the small
+        // encoder's trained widths 77 → 64 → 32 → 10.
+        shapes.extend([(1, 77, 64), (1, 64, 32), (1, 32, 10)]);
+
+        let mut rng = SeedRng::new(21);
+        for &(m, k, n) in &shapes {
+            let a = Matrix::randn(m, k, 0.0, 1.0, &mut rng);
+            let at = Matrix::randn(k, m, 0.0, 1.0, &mut rng);
+            let b = Matrix::randn(k, n, 0.0, 1.0, &mut rng);
+            let bt = Matrix::randn(n, k, 0.0, 1.0, &mut rng);
+            let (ad, atd) = (a.as_slice(), at.as_slice());
+            let rows_of_a = |i0: usize, mr_eff: usize, panel: &mut [f32]| {
+                pack_a_rows(ad, k, i0, mr_eff, panel);
+            };
+            let cols_of_at = |i0: usize, mr_eff: usize, panel: &mut [f32]| {
+                pack_a_cols(atd, m, k, i0, mr_eff, panel);
+            };
+            let packed_b = pack_b_rows(b.as_slice(), k, n);
+            let packed_bt = pack_b_cols(bt.as_slice(), n, k);
+
+            let ab = gemm_on_both_paths("matmul", (m, k, n), &packed_b, &rows_of_a);
+            assert_eq!(ab, matmul_naive(&a, &b), "matmul {m}x{k}x{n}");
+            assert_eq!(ab, matmul(&a, &b), "matmul {m}x{k}x{n} dispatched");
+            let atb = gemm_on_both_paths("matmul_at_b", (m, k, n), &packed_b, &cols_of_at);
+            assert_eq!(atb, matmul_at_b_naive(&at, &b), "matmul_at_b {m}x{k}x{n}");
+            assert_eq!(
+                atb,
+                matmul_at_b(&at, &b),
+                "matmul_at_b {m}x{k}x{n} dispatched"
+            );
+            let abt = gemm_on_both_paths("matmul_a_bt", (m, k, n), &packed_bt, &rows_of_a);
+            assert_eq!(abt, matmul_a_bt_naive(&a, &bt), "matmul_a_bt {m}x{k}x{n}");
+            assert_eq!(
+                abt,
+                matmul_a_bt(&a, &bt),
+                "matmul_a_bt {m}x{k}x{n} dispatched"
+            );
         }
     }
 

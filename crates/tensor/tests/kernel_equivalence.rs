@@ -1,11 +1,14 @@
 //! Kernel-equivalence property tests: the packed/register-tiled gemm
-//! kernels and the fused elementwise ops must match the retained naive
-//! references to ≤ 4 ULP on seeded random matrices — including ragged
-//! shapes (1×N, N×1, sizes that don't divide the MR/NR tile).
+//! kernels must equal the retained naive references exactly, and the
+//! fused elementwise ops must match theirs to ≤ 4 ULP, on seeded random
+//! matrices — including ragged shapes (1×N, N×1, sizes that don't divide
+//! the MR/NR tile).
 //!
-//! In practice the kernels are designed for exact bitwise agreement
-//! (ascending-`k` accumulation everywhere); the 4-ULP bound is the
-//! contract, bitwise equality is the implementation.
+//! The gemms run on whichever compiled copy this CPU dispatches to (AVX2
+//! where available) while the naive references are compiled for baseline
+//! x86-64, so exact equality here is equality across instruction sets:
+//! both accumulate each element in ascending `k` with separate multiply
+//! and add.
 
 // Test code: exact float comparison, bounded indexing, and panics are the
 // assertions here.
@@ -65,42 +68,51 @@ const SHAPES: &[(usize, usize, usize)] = &[
 ];
 
 #[test]
-fn packed_gemm_matches_naive_within_4_ulp() {
+fn packed_gemm_matches_naive_exactly() {
     for seed in [1u64, 2, 3] {
         let mut rng = SeedRng::new(seed);
         for &(m, k, n) in SHAPES {
             let a = Matrix::randn(m, k, 0.0, 1.0, &mut rng);
             let b = Matrix::randn(k, n, 0.0, 1.0, &mut rng);
-            let ulp = max_ulp(&matmul(&a, &b), &matmul_naive(&a, &b));
-            assert!(ulp <= 4, "matmul {m}x{k}x{n} seed {seed}: {ulp} ULP");
+            assert_eq!(
+                matmul(&a, &b),
+                matmul_naive(&a, &b),
+                "matmul {m}x{k}x{n} seed {seed}"
+            );
         }
     }
 }
 
 #[test]
-fn packed_at_b_matches_naive_within_4_ulp() {
+fn packed_at_b_matches_naive_exactly() {
     for seed in [1u64, 2, 3] {
         let mut rng = SeedRng::new(seed);
         for &(m, k, n) in SHAPES {
             // A stored k×m so Aᵀ·B is m×n.
             let a = Matrix::randn(k, m, 0.0, 1.0, &mut rng);
             let b = Matrix::randn(k, n, 0.0, 1.0, &mut rng);
-            let ulp = max_ulp(&matmul_at_b(&a, &b), &matmul_at_b_naive(&a, &b));
-            assert!(ulp <= 4, "matmul_at_b {m}x{k}x{n} seed {seed}: {ulp} ULP");
+            assert_eq!(
+                matmul_at_b(&a, &b),
+                matmul_at_b_naive(&a, &b),
+                "matmul_at_b {m}x{k}x{n} seed {seed}"
+            );
         }
     }
 }
 
 #[test]
-fn packed_a_bt_matches_naive_within_4_ulp() {
+fn packed_a_bt_matches_naive_exactly() {
     for seed in [1u64, 2, 3] {
         let mut rng = SeedRng::new(seed);
         for &(m, k, n) in SHAPES {
             // B stored n×k so A·Bᵀ is m×n.
             let a = Matrix::randn(m, k, 0.0, 1.0, &mut rng);
             let b = Matrix::randn(n, k, 0.0, 1.0, &mut rng);
-            let ulp = max_ulp(&matmul_a_bt(&a, &b), &matmul_a_bt_naive(&a, &b));
-            assert!(ulp <= 4, "matmul_a_bt {m}x{k}x{n} seed {seed}: {ulp} ULP");
+            assert_eq!(
+                matmul_a_bt(&a, &b),
+                matmul_a_bt_naive(&a, &b),
+                "matmul_a_bt {m}x{k}x{n} seed {seed}"
+            );
         }
     }
 }

@@ -6,7 +6,9 @@ catastrophic regression. Two report schemas are understood, auto-detected
 from the `schema` field (both files must agree):
 
 * `adec-bench-kernels/v1` — per-kernel ns/op; any packed gemm entry more
-  than REGRESSION_FACTOR slower than baseline fails.
+  than REGRESSION_FACTOR slower than baseline fails, and so does a fresh
+  report whose gemm `isa` differs from the baseline's when both record
+  one (a silent fallback from the AVX2 path to the generic one).
 * `adec-bench-serve/v1` — a `BENCH_serve.json` load report; fails when
   the open-loop p99 or the valid-request error rate grows past
   REGRESSION_FACTOR x baseline (each with an absolute floor so sub-noise
@@ -62,8 +64,15 @@ def kernel_entries(doc):
 
 def compare_kernels(baseline, fresh):
     """Returns (rows, failures) for two kernels-schema docs."""
-    baseline, fresh = kernel_entries(baseline), kernel_entries(fresh)
     rows, failures = [], []
+    base_isa, fresh_isa = baseline.get("isa"), fresh.get("isa")
+    if base_isa is not None and fresh_isa is not None:
+        print(f"gemm isa: {base_isa} -> {fresh_isa}")
+        if base_isa != fresh_isa:
+            failures.append(
+                f"gemm isa changed: baseline measured {base_isa!r}, fresh "
+                f"report ran {fresh_isa!r}")
+    baseline, fresh = kernel_entries(baseline), kernel_entries(fresh)
     for key in sorted(baseline):
         name, tier = key
         if key not in fresh:

@@ -64,6 +64,22 @@ class KernelsMode(unittest.TestCase):
         _, failures = quiet(bc.compare_kernels, kernels_doc(), fresh)
         self.assertTrue(any("missing from fresh" in f for f in failures))
 
+    def test_isa_fallback_fails(self):
+        base, fresh = kernels_doc(), kernels_doc()
+        base["isa"], fresh["isa"] = "avx2", "generic"
+        _, failures = quiet(bc.compare_kernels, base, fresh)
+        self.assertTrue(any("gemm isa changed" in f for f in failures))
+        # Same isa on both sides passes.
+        fresh["isa"] = "avx2"
+        _, ok = quiet(bc.compare_kernels, base, fresh)
+        self.assertEqual(ok, [])
+
+    def test_isa_compared_only_when_both_record_it(self):
+        base = kernels_doc()
+        base["isa"] = "avx2"
+        _, failures = quiet(bc.compare_kernels, base, kernels_doc())
+        self.assertEqual(failures, [])
+
 
 class ServeMode(unittest.TestCase):
     def test_identical_reports_pass(self):
